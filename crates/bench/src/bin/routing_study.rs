@@ -28,9 +28,17 @@
 //! comm-aware router must achieve a mean predicted contention no worse
 //! than round-robin's at the moderate level (the CI bench gate).
 //!
-//! Usage: `routing_study [--jobs N] [--seed S] [--load F] [--swf FILE]`
-//! (`--load` replaces the canonical two-level sweep with one custom
-//! level, which disables the gate.)
+//! `--check FILE` reads a previously written result before the run and
+//! exits non-zero unless every decision in it — waits, makespans, mean
+//! contentions, scored grants and everything derived from them — comes
+//! out identical. Only `service_ops_per_sec`, the host-dependent
+//! throughput, may differ. Checked against the committed
+//! `BENCH_routing.json`, it proves a change to the scoring or routing
+//! path left every placement alone.
+//!
+//! Usage: `routing_study [--jobs N] [--seed S] [--load F] [--swf FILE]
+//! [--check FILE]` (`--load` replaces the canonical two-level sweep with
+//! one custom level, which disables the contention gate.)
 
 use commalloc_mesh::Mesh2D;
 use commalloc_service::score::predicted_contention_2d;
@@ -109,6 +117,41 @@ struct PolicyRow {
     ops_per_sec: f64,
 }
 
+/// The one field of a result that depends on the host rather than on
+/// the routing and placement decisions.
+const HOST_DEPENDENT: &str = "service_ops_per_sec";
+
+/// Appends to `out` every difference between a `committed` result and a
+/// `fresh` one, by JSON path, skipping [`HOST_DEPENDENT`] fields.
+fn decision_diffs(path: &str, committed: &Value, fresh: &Value, out: &mut Vec<String>) {
+    match (committed, fresh) {
+        (Value::Object(a), Value::Object(b)) => {
+            let fresh_only = b.iter().map(|(k, _)| k).filter(|k| a.get(k).is_none());
+            for key in a.iter().map(|(k, _)| k).chain(fresh_only) {
+                if key == HOST_DEPENDENT {
+                    continue;
+                }
+                let at = format!("{path}.{key}");
+                match (a.get(key), b.get(key)) {
+                    (Some(x), Some(y)) => decision_diffs(&at, x, y, out),
+                    (x, y) => out.push(format!("{at}: committed {x:?}, now {y:?}")),
+                }
+            }
+        }
+        (Value::Array(a), Value::Array(b)) if a.len() == b.len() => {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                decision_diffs(&format!("{path}[{i}]"), x, y, out);
+            }
+        }
+        _ if committed != fresh => out.push(format!(
+            "{path}: committed {}, now {}",
+            serde_json::to_string(committed).expect("rendering is infallible"),
+            serde_json::to_string(fresh).expect("rendering is infallible"),
+        )),
+        _ => {}
+    }
+}
+
 fn run_policy(policy: RoutingPolicy, jobs: &[ReplayJob]) -> PolicyRow {
     let service = AllocationService::new();
     let meshes: HashMap<&str, Mesh2D> = MEMBERS
@@ -164,6 +207,7 @@ fn main() {
     let mut seed = DEFAULT_SEED;
     let mut custom_load: Option<f64> = None;
     let mut swf_path: Option<String> = None;
+    let mut check_path: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         // A malformed value must not silently fall back to the canonical
@@ -202,10 +246,21 @@ fn main() {
                 swf_path = Some(value("--swf"));
                 i += 1;
             }
+            "--check" => {
+                check_path = Some(value("--check"));
+                i += 1;
+            }
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
         i += 1;
     }
+
+    // Read the reference before this run overwrites it.
+    let committed: Option<Value> = check_path.as_deref().map(|path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {path} to check against: {e}"));
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"))
+    });
 
     let base = load_trace(swf_path.as_deref(), jobs, seed).filter_fitting(LARGEST_MEMBER);
     let levels: Vec<(&str, f64)> = match custom_load {
@@ -343,6 +398,21 @@ fn main() {
     let json = serde_json::to_string_pretty(&Value::Object(out)).expect("rendering is infallible");
     std::fs::write("BENCH_routing.json", &json).expect("can write BENCH_routing.json");
     println!("wrote BENCH_routing.json");
+
+    if let (Some(path), Some(committed)) = (&check_path, &committed) {
+        // Compare after the same text round trip the reference took.
+        let fresh: Value = serde_json::from_str(&json).expect("the result re-parses");
+        let mut diffs = Vec::new();
+        decision_diffs("$", committed, &fresh, &mut diffs);
+        if !diffs.is_empty() {
+            eprintln!("{} decision(s) differ from {path}:", diffs.len());
+            for diff in &diffs {
+                eprintln!("  {diff}");
+            }
+            std::process::exit(1);
+        }
+        println!("every decision matches {path} ({HOST_DEPENDENT} aside)");
+    }
 
     // The acceptance gate applies to the canonical configuration only
     // (and to the moderate level: under saturation the realized score is

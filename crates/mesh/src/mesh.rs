@@ -170,10 +170,11 @@ impl Mesh2D {
         if nodes.len() < 2 {
             return 0.0;
         }
+        let coords: Vec<Coord> = nodes.iter().map(|&n| self.coord_of(n)).collect();
         let mut total = 0u64;
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                total += self.distance(a, b) as u64;
+        for (i, a) in coords.iter().enumerate() {
+            for &b in &coords[i + 1..] {
+                total += a.manhattan(b) as u64;
             }
         }
         let pairs = nodes.len() * (nodes.len() - 1) / 2;
@@ -185,25 +186,52 @@ impl Mesh2D {
     /// The paper (Section 4.3) calls a job *contiguously allocated* when all
     /// of its processors form a single component under 4-neighbour adjacency
     /// restricted to the job's own processors.
+    ///
+    /// Duplicates in `nodes` count once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is outside the mesh.
     pub fn components(&self, nodes: &[NodeId]) -> usize {
         if nodes.is_empty() {
             return 0;
         }
-        let in_set: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
-        let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+        const ABSENT: u8 = 0;
+        const UNVISITED: u8 = 1;
+        const VISITED: u8 = 2;
+        let (w, h) = (self.width as usize, self.height as usize);
+        let mut mark = vec![ABSENT; self.num_nodes()];
+        for &n in nodes {
+            mark[n.index()] = UNVISITED;
+        }
         let mut components = 0;
+        let mut stack = Vec::new();
         for &start in nodes {
-            if seen.contains(&start) {
+            if mark[start.index()] != UNVISITED {
                 continue;
             }
             components += 1;
-            let mut stack = vec![start];
-            seen.insert(start);
-            while let Some(n) = stack.pop() {
-                for nb in self.neighbors(n) {
-                    if in_set.contains(&nb) && seen.insert(nb) {
-                        stack.push(nb);
+            mark[start.index()] = VISITED;
+            stack.push(start.index());
+            while let Some(i) = stack.pop() {
+                let (x, y) = (i % w, i / w);
+                let mut visit = |j: usize| {
+                    if mark[j] == UNVISITED {
+                        mark[j] = VISITED;
+                        stack.push(j);
                     }
+                };
+                if x > 0 {
+                    visit(i - 1);
+                }
+                if x + 1 < w {
+                    visit(i + 1);
+                }
+                if y > 0 {
+                    visit(i - w);
+                }
+                if y + 1 < h {
+                    visit(i + w);
                 }
             }
         }

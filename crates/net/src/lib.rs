@@ -36,8 +36,14 @@ pub mod traffic;
 
 /// Rejects duplicate message ids up front: delivery reports are keyed by id,
 /// so a duplicate would make the report ambiguous and mask a caller bug
-/// (previously swallowed by an `unwrap_or(usize::MAX)` sort key).
-pub(crate) fn assert_unique_ids(ids: impl Iterator<Item = u64>) {
+/// (previously swallowed by an `unwrap_or(usize::MAX)` sort key). Strictly
+/// increasing ids (what the placement scorer sends) are unique without a
+/// set; anything else is checked against one.
+pub(crate) fn assert_unique_ids(ids: impl Iterator<Item = u64> + Clone) {
+    let mut pairs = ids.clone().zip(ids.clone().skip(1));
+    if pairs.all(|(a, b)| a < b) {
+        return;
+    }
     let mut seen = std::collections::HashSet::new();
     for id in ids {
         assert!(seen.insert(id), "duplicate message id {id}");
@@ -47,3 +53,28 @@ pub(crate) fn assert_unique_ids(ids: impl Iterator<Item = u64>) {
 pub use fluid::{FluidNetwork, ProportionalShareModel, RateModel, ZeroContentionModel};
 pub use link::{LinkId, LinkTable};
 pub use traffic::JobTraffic;
+
+#[cfg(test)]
+mod tests {
+    use super::assert_unique_ids;
+
+    #[test]
+    fn unique_ids_pass_in_any_order() {
+        assert_unique_ids([0u64, 1, 5, 9].into_iter());
+        assert_unique_ids([9u64, 5, 1, 0].into_iter());
+        assert_unique_ids(std::iter::empty());
+    }
+
+    #[test]
+    fn a_duplicate_panics_wherever_it_sits() {
+        for ids in [
+            vec![3u64, 3],
+            vec![1, 2, 3, 2],
+            vec![4, 1, 4],
+            vec![0, 1, 1, 2],
+        ] {
+            let caught = std::panic::catch_unwind(|| assert_unique_ids(ids.iter().copied()));
+            assert!(caught.is_err(), "{ids:?} must be rejected");
+        }
+    }
+}

@@ -96,11 +96,43 @@ impl LinkTable {
     /// The identifiers of the links along the x-y route from `src` to `dst`,
     /// in traversal order. Empty when `src == dst`.
     pub fn route_links(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        self.mesh
-            .xy_route_links(src, dst)
-            .into_iter()
-            .map(|(a, b)| self.link(a, b))
-            .collect()
+        let mut links = Vec::new();
+        self.extend_route(src, dst, &mut links);
+        links
+    }
+
+    /// Appends the links of the x-y route from `src` to `dst` to `out`, in
+    /// traversal order, computed arithmetically (no intermediate path):
+    /// the x leg leaves each node through its ±x slot, then the y leg
+    /// leaves each node of the destination column through its ±y slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the mesh.
+    pub(crate) fn extend_route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+        let s = self.mesh.coord_of(src);
+        let d = self.mesh.coord_of(dst);
+        let w = self.mesh.width() as u32;
+        let slot =
+            |x: u16, y: u16, dir: Direction| LinkId((y as u32 * w + x as u32) * 4 + dir.slot());
+        if d.x >= s.x {
+            out.extend((s.x..d.x).map(|x| slot(x, s.y, Direction::PlusX)));
+        } else {
+            out.extend(
+                (d.x + 1..=s.x)
+                    .rev()
+                    .map(|x| slot(x, s.y, Direction::MinusX)),
+            );
+        }
+        if d.y >= s.y {
+            out.extend((s.y..d.y).map(|y| slot(d.x, y, Direction::PlusY)));
+        } else {
+            out.extend(
+                (d.y + 1..=s.y)
+                    .rev()
+                    .map(|y| slot(d.x, y, Direction::MinusY)),
+            );
+        }
     }
 }
 
@@ -145,5 +177,22 @@ mod tests {
         let links = table.route_links(src, dst);
         assert_eq!(links.len() as u32, mesh.distance(src, dst));
         assert!(table.route_links(src, src).is_empty());
+    }
+
+    #[test]
+    fn arithmetic_routes_match_the_hop_by_hop_xy_route() {
+        for mesh in [Mesh2D::new(5, 3), Mesh2D::new(1, 4), Mesh2D::new(4, 1)] {
+            let table = LinkTable::new(mesh);
+            for src in mesh.nodes() {
+                for dst in mesh.nodes() {
+                    let hop_by_hop: Vec<LinkId> = mesh
+                        .xy_route_links(src, dst)
+                        .into_iter()
+                        .map(|(a, b)| table.link(a, b))
+                        .collect();
+                    assert_eq!(table.route_links(src, dst), hop_by_hop, "{src} -> {dst}");
+                }
+            }
+        }
     }
 }

@@ -66,30 +66,29 @@ pub struct MessageLevelNetwork {
     links: LinkTable,
 }
 
-/// Pending event: message `msg` is ready to start crossing the `stage`-th
-/// link of its path at `time`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
-    time: f64,
-    msg: usize,
-    stage: usize,
-}
+/// Heap key of a message's pending event: the event time's total-order
+/// bits, then the message's input index. A message has at most one
+/// pending event (the next link of its path), so this orders events
+/// exactly as (time, message, stage) would.
+type EventKey = (u64, usize);
 
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.msg.cmp(&other.msg))
-            .then(self.stage.cmp(&other.stage))
+/// Maps `t` to unsigned bits whose integer order is `f64::total_cmp`'s.
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Inverse of [`time_key`].
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 impl MessageLevelNetwork {
@@ -115,58 +114,47 @@ impl MessageLevelNetwork {
     /// would be ambiguous).
     pub fn simulate(&self, messages: &[Message]) -> MessageSimReport {
         assert_unique_ids(messages.iter().map(|m| m.id));
-        let paths: Vec<Vec<LinkId>> = messages
-            .iter()
-            .map(|m| self.links.route_links(m.src, m.dst))
-            .collect();
+        // Every route in one flat buffer: message `i` has yet to cross
+        // `links[cursor[i]..ends[i]]`.
+        let mut links: Vec<LinkId> = Vec::new();
+        let mut cursor: Vec<usize> = Vec::with_capacity(messages.len());
+        let mut ends: Vec<usize> = Vec::with_capacity(messages.len());
+        for m in messages {
+            cursor.push(links.len());
+            self.links.extend_route(m.src, m.dst, &mut links);
+            ends.push(links.len());
+        }
         let mut link_free_at: Vec<f64> = vec![0.0; self.links.num_slots()];
-        // Delivery slots indexed by input position: events carry the input
-        // index, so each record lands directly in place — no O(n²)
-        // id-lookup re-sort at the end.
-        let mut deliveries: Vec<Option<MessageDelivery>> = vec![None; messages.len()];
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-
-        for (i, m) in messages.iter().enumerate() {
-            if paths[i].is_empty() {
-                deliveries[i] = Some(MessageDelivery {
-                    id: m.id,
-                    delivered_at: m.inject_at,
-                    latency: 0.0,
-                });
-            } else {
-                heap.push(Reverse(Event {
-                    time: m.inject_at,
-                    msg: i,
-                    stage: 0,
-                }));
-            }
-        }
-
-        while let Some(Reverse(ev)) = heap.pop() {
-            let m = &messages[ev.msg];
-            let link = paths[ev.msg][ev.stage];
-            let start = ev.time.max(link_free_at[link.index()]);
-            let finish = start + m.service_time;
-            link_free_at[link.index()] = finish;
-            if ev.stage + 1 < paths[ev.msg].len() {
-                heap.push(Reverse(Event {
-                    time: finish,
-                    msg: ev.msg,
-                    stage: ev.stage + 1,
-                }));
-            } else {
-                deliveries[ev.msg] = Some(MessageDelivery {
-                    id: m.id,
-                    delivered_at: finish,
-                    latency: finish - m.inject_at,
-                });
-            }
-        }
-
-        let deliveries: Vec<MessageDelivery> = deliveries
-            .into_iter()
-            .map(|d| d.expect("every message delivered"))
+        // Records land in input position; a local message (empty route)
+        // is delivered the moment it is injected.
+        let mut deliveries: Vec<MessageDelivery> = messages
+            .iter()
+            .map(|m| MessageDelivery {
+                id: m.id,
+                delivered_at: m.inject_at,
+                latency: 0.0,
+            })
             .collect();
+        let mut heap: BinaryHeap<Reverse<EventKey>> = (0..messages.len())
+            .filter(|&i| cursor[i] < ends[i])
+            .map(|i| Reverse((time_key(messages[i].inject_at), i)))
+            .collect();
+
+        while let Some(Reverse((key, i))) = heap.pop() {
+            let m = &messages[i];
+            let link = links[cursor[i]].index();
+            let start = key_time(key).max(link_free_at[link]);
+            let finish = start + m.service_time;
+            link_free_at[link] = finish;
+            cursor[i] += 1;
+            if cursor[i] < ends[i] {
+                heap.push(Reverse((time_key(finish), i)));
+            } else {
+                deliveries[i].delivered_at = finish;
+                deliveries[i].latency = finish - m.inject_at;
+            }
+        }
+
         let makespan = deliveries
             .iter()
             .map(|d| d.delivered_at)

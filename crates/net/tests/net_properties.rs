@@ -3,13 +3,162 @@
 use commalloc_mesh::{Mesh2D, NodeId};
 use commalloc_net::flit::{FlitMessage, FlitNetwork};
 use commalloc_net::fluid::{FluidNetwork, RateModel};
-use commalloc_net::msglevel::{Message, MessageLevelNetwork};
+use commalloc_net::msglevel::{Message, MessageDelivery, MessageLevelNetwork, MessageSimReport};
 use commalloc_net::traffic::{JobTraffic, RankTraffic};
-use commalloc_net::LinkTable;
+use commalloc_net::{LinkId, LinkTable};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn arb_node(max: u32) -> impl Strategy<Value = NodeId> {
     (0..max).prop_map(NodeId)
+}
+
+/// The reference message-level simulator: one `Vec` route per message,
+/// built hop by hop from the mesh's x-y path, and events ordered by
+/// (time, message, stage). The production simulator must reproduce its
+/// reports bit for bit.
+fn reference_simulate(mesh: Mesh2D, messages: &[Message]) -> MessageSimReport {
+    #[derive(PartialEq)]
+    struct Event {
+        time: f64,
+        msg: usize,
+        stage: usize,
+    }
+    impl Eq for Event {}
+    impl Ord for Event {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.time
+                .total_cmp(&other.time)
+                .then(self.msg.cmp(&other.msg))
+                .then(self.stage.cmp(&other.stage))
+        }
+    }
+    impl PartialOrd for Event {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    let table = LinkTable::new(mesh);
+    let paths: Vec<Vec<LinkId>> = messages
+        .iter()
+        .map(|m| {
+            mesh.xy_route_links(m.src, m.dst)
+                .into_iter()
+                .map(|(a, b)| table.link(a, b))
+                .collect()
+        })
+        .collect();
+    let mut link_free_at = vec![0.0f64; table.num_slots()];
+    let mut deliveries: Vec<Option<MessageDelivery>> = vec![None; messages.len()];
+    let mut heap = BinaryHeap::new();
+    for (i, m) in messages.iter().enumerate() {
+        if paths[i].is_empty() {
+            deliveries[i] = Some(MessageDelivery {
+                id: m.id,
+                delivered_at: m.inject_at,
+                latency: 0.0,
+            });
+        } else {
+            heap.push(Reverse(Event {
+                time: m.inject_at,
+                msg: i,
+                stage: 0,
+            }));
+        }
+    }
+    while let Some(Reverse(ev)) = heap.pop() {
+        let m = &messages[ev.msg];
+        let link = paths[ev.msg][ev.stage];
+        let start = ev.time.max(link_free_at[link.index()]);
+        let finish = start + m.service_time;
+        link_free_at[link.index()] = finish;
+        if ev.stage + 1 < paths[ev.msg].len() {
+            heap.push(Reverse(Event {
+                time: finish,
+                msg: ev.msg,
+                stage: ev.stage + 1,
+            }));
+        } else {
+            deliveries[ev.msg] = Some(MessageDelivery {
+                id: m.id,
+                delivered_at: finish,
+                latency: finish - m.inject_at,
+            });
+        }
+    }
+    let deliveries: Vec<MessageDelivery> = deliveries
+        .into_iter()
+        .map(|d| d.expect("every message delivered"))
+        .collect();
+    let makespan = deliveries
+        .iter()
+        .map(|d| d.delivered_at)
+        .fold(0.0f64, f64::max);
+    MessageSimReport {
+        deliveries,
+        makespan,
+    }
+}
+
+/// A mesh of up to 16×16 with up to 80 messages on it: injection times
+/// on a unit grid (many exact ties) or anywhere in `[0, 20)`, service
+/// times of one or anywhere in `[0.25, 4)`, and a share of local
+/// (`src == dst`) messages.
+fn arb_mesh_and_messages() -> impl Strategy<Value = (Mesh2D, Vec<Message>)> {
+    (1u16..=16, 1u16..=16, 0u8..2).prop_flat_map(|(w, h, descending)| {
+        let mesh = Mesh2D::new(w, h);
+        let nodes = mesh.num_nodes() as u32;
+        let spec = (
+            arb_node(nodes),
+            arb_node(nodes),
+            0u8..4,
+            prop_oneof![(0u32..8).prop_map(f64::from), 0.0f64..20.0],
+            prop_oneof![Just(1.0f64), 0.25f64..4.0],
+        );
+        proptest::collection::vec(spec, 0..80).prop_map(move |specs| {
+            let n = specs.len() as u64;
+            let messages = specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (src, dst, local, inject_at, service_time))| Message {
+                    // Ids are unique either way; descending ones take the
+                    // duplicate check's set path.
+                    id: if descending == 1 {
+                        n - i as u64
+                    } else {
+                        i as u64
+                    },
+                    src,
+                    dst: if local == 0 { src } else { dst },
+                    inject_at,
+                    service_time,
+                })
+                .collect();
+            (mesh, messages)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat-route, cursor-driven simulator reproduces the reference
+    /// simulator's deliveries and makespan bit for bit.
+    fn msglevel_matches_reference_simulator_bit_for_bit(
+        (mesh, messages) in arb_mesh_and_messages()
+    ) {
+        let fast = MessageLevelNetwork::new(mesh).simulate(&messages);
+        let reference = reference_simulate(mesh, &messages);
+        prop_assert_eq!(fast.deliveries.len(), reference.deliveries.len());
+        for (f, r) in fast.deliveries.iter().zip(&reference.deliveries) {
+            prop_assert_eq!(f.id, r.id);
+            prop_assert_eq!(f.delivered_at.to_bits(), r.delivered_at.to_bits());
+            prop_assert_eq!(f.latency.to_bits(), r.latency.to_bits());
+        }
+        prop_assert_eq!(fast.makespan.to_bits(), reference.makespan.to_bits());
+    }
 }
 
 proptest! {

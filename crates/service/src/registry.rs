@@ -231,6 +231,7 @@ enum Backing {
         /// 2-D machine — MBS, paging, genetic — can serve patterned
         /// jobs the same way).
         probe: CurveOrder,
+        memo: WindowMemo,
     },
     /// A 3-D mesh served by one-dimensional reduction along a 3-D curve,
     /// with the free-interval index as the single source of truth.
@@ -239,7 +240,42 @@ enum Backing {
         curve: Curve3Order,
         index: FreeIntervalIndex,
         strategy: SelectionStrategy,
+        memo: WindowMemo,
     },
+}
+
+/// Network terms of candidate windows already scored on one machine,
+/// keyed by (window start rank, size, pattern). A window is `size`
+/// consecutive ranks of the machine's probe curve (2-D) or 3-D curve, so
+/// the key fixes the window's nodes, and with them the network term of
+/// any pattern that draws no random numbers: no occupancy change can
+/// stale an entry. `Random` terms depend on the job id and are never
+/// stored. The memo holds at most [`WindowMemo::CAP`] entries and starts
+/// over when full.
+#[derive(Default)]
+struct WindowMemo {
+    network: HashMap<(usize, usize, CommPattern), f64>,
+}
+
+impl WindowMemo {
+    /// 7/8 of a power of two: a full memo fills its hash table's 4096
+    /// buckets without growing it.
+    const CAP: usize = 3584;
+
+    /// Whether network terms of `pattern` are a function of the window
+    /// alone: every pattern but `Random` ignores the job-seeded
+    /// generator (see `CommPattern::iteration_messages` and
+    /// `CommPattern::traffic`).
+    fn memoises(pattern: CommPattern) -> bool {
+        pattern != CommPattern::Random
+    }
+
+    fn insert(&mut self, key: (usize, usize, CommPattern), network: f64) {
+        if self.network.len() == Self::CAP {
+            self.network.clear();
+        }
+        self.network.insert(key, network);
+    }
 }
 
 impl Backing {
@@ -265,10 +301,10 @@ impl Backing {
     /// success. Does not touch the queue or metrics.
     ///
     /// A declared communication pattern reroutes the decision through
-    /// [`Backing::scored_candidates`]: the fitting candidate node set
-    /// with the **lowest predicted contention** wins, committed straight
-    /// onto the occupancy state (safe behind the allocator's back — the
-    /// 2-D allocators resynchronise from the machine bitmap via the
+    /// [`Backing::candidate_windows`]: the fitting candidate window with
+    /// the **lowest predicted contention** wins, committed straight onto
+    /// the occupancy state (safe behind the allocator's back — the 2-D
+    /// allocators resynchronise from the machine bitmap via the
     /// `MachineState::generation` protocol). When no contiguous
     /// candidate fits (a fragmented machine), the pattern is ignored and
     /// the configured allocator decides as for an unpatterned job.
@@ -282,20 +318,19 @@ impl Backing {
         size: usize,
         pattern: Option<CommPattern>,
     ) -> Option<ScoredGrant> {
-        if let Some(pattern) = pattern {
-            if let Some((best, breakdown, considered)) =
-                self.best_scored_candidate(job_id, size, pattern)
-            {
-                match self {
-                    Backing::TwoD { machine, .. } => machine.occupy(&best),
-                    Backing::ThreeD { curve, index, .. } => {
-                        let ranks: Vec<usize> = best.iter().map(|&n| curve.rank_of(n)).collect();
-                        let applied = index.occupy_ranks(&ranks);
-                        debug_assert!(applied, "scored candidate held a busy rank");
-                    }
+        if let Some((start, breakdown, considered)) =
+            pattern.and_then(|pattern| self.best_window(job_id, size, pattern))
+        {
+            let best = self.window_nodes(start, size);
+            match self {
+                Backing::TwoD { machine, .. } => machine.occupy(&best),
+                Backing::ThreeD { index, .. } => {
+                    let ranks: Vec<usize> = (start..start + size).collect();
+                    let applied = index.occupy_ranks(&ranks);
+                    debug_assert!(applied, "scored candidate held a busy rank");
                 }
-                return Some((best, Some((breakdown, considered))));
             }
+            return Some((best, Some((breakdown, considered))));
         }
         match self {
             Backing::TwoD {
@@ -328,51 +363,40 @@ impl Backing {
         }
     }
 
-    /// Candidate placements for a patterned job: windows of `size`
-    /// consecutive free positions, one per maximal free run along the
-    /// probe curve (2-D) or free-interval index (3-D), capped at
-    /// [`Backing::CANDIDATE_CAP`] in curve order. Empty when no run is
-    /// long enough — the caller falls back to the unpatterned path.
-    fn scored_candidates(&self, size: usize) -> Vec<Vec<NodeId>> {
+    /// Candidate placements for a patterned job, as the start ranks of
+    /// windows of `size` consecutive free positions: one per maximal free
+    /// run along the probe curve (2-D) or free-interval index (3-D),
+    /// capped at [`Backing::CANDIDATE_CAP`] in curve order. Empty when no
+    /// run is long enough — the caller falls back to the unpatterned path.
+    fn candidate_windows(&self, size: usize) -> Vec<usize> {
         if size == 0 || size > self.num_free() {
             return Vec::new();
         }
-        let mut candidates = Vec::new();
         match self {
             Backing::TwoD { machine, probe, .. } => {
-                let mut run: Vec<NodeId> = Vec::new();
-                for rank in 0..probe.len() {
-                    let node = probe.node_at(rank);
-                    if machine.is_free(node) {
-                        run.push(node);
-                    } else {
-                        if run.len() >= size {
-                            candidates.push(run[..size].to_vec());
+                let mut starts = Vec::new();
+                let mut run_start = 0;
+                for rank in 0..=probe.len() {
+                    if rank < probe.len() && machine.is_free(probe.node_at(rank)) {
+                        continue;
+                    }
+                    if rank - run_start >= size {
+                        starts.push(run_start);
+                        if starts.len() == Self::CANDIDATE_CAP {
+                            break;
                         }
-                        run.clear();
                     }
-                    if candidates.len() == Self::CANDIDATE_CAP {
-                        return candidates;
-                    }
+                    run_start = rank + 1;
                 }
-                if run.len() >= size && candidates.len() < Self::CANDIDATE_CAP {
-                    candidates.push(run[..size].to_vec());
-                }
+                starts
             }
-            Backing::ThreeD { curve, index, .. } => {
-                for interval in index.intervals().filter(|iv| iv.len >= size) {
-                    candidates.push(
-                        (interval.start..interval.start + size)
-                            .map(|r| curve.node_at(r))
-                            .collect(),
-                    );
-                    if candidates.len() == Self::CANDIDATE_CAP {
-                        break;
-                    }
-                }
-            }
+            Backing::ThreeD { index, .. } => index
+                .intervals()
+                .filter(|iv| iv.len >= size)
+                .take(Self::CANDIDATE_CAP)
+                .map(|iv| iv.start)
+                .collect(),
         }
-        candidates
     }
 
     /// At most this many candidate windows are scored per decision: the
@@ -380,57 +404,79 @@ impl Backing {
     /// fragmented machine must not make one grant arbitrarily slow.
     const CANDIDATE_CAP: usize = 8;
 
-    /// Scores a candidate against the declared pattern (lower total is
-    /// better). Deterministic in `(backing mesh, nodes, pattern,
-    /// job_id)` — see [`crate::score`].
-    fn score_candidate(
-        &self,
-        nodes: &[NodeId],
-        pattern: CommPattern,
-        job_id: u64,
-    ) -> ScoreBreakdown {
+    /// The nodes of the window of `size` curve ranks from `start`, in
+    /// rank order.
+    fn window_nodes(&self, start: usize, size: usize) -> Vec<NodeId> {
         match self {
-            Backing::TwoD { mesh, .. } => {
-                crate::score::predicted_contention_2d(*mesh, nodes, pattern, job_id)
+            Backing::TwoD { probe, .. } => {
+                (start..start + size).map(|r| probe.node_at(r)).collect()
             }
-            Backing::ThreeD { mesh, .. } => {
-                crate::score::predicted_contention_3d(*mesh, nodes, pattern, job_id)
+            Backing::ThreeD { curve, .. } => {
+                (start..start + size).map(|r| curve.node_at(r)).collect()
             }
         }
     }
 
-    /// The fitting candidate with the lowest predicted contention (ties
-    /// break towards the earlier curve position), or `None` when no
-    /// contiguous window fits. Returns the winner's breakdown and how
-    /// many candidates were weighed (the calibration plane's grant-time
-    /// inputs).
-    fn best_scored_candidate(
-        &self,
+    /// Scores the window of `size` curve ranks from `start` against the
+    /// declared pattern (lower total is better), taking the network term
+    /// from the machine's [`WindowMemo`] when it has it. Deterministic in
+    /// `(backing mesh, window, pattern, job_id)` — see [`crate::score`] —
+    /// and bit-identical whether or not the memo answers.
+    fn score_window(
+        &mut self,
+        start: usize,
+        size: usize,
+        pattern: CommPattern,
+        job_id: u64,
+    ) -> ScoreBreakdown {
+        let nodes = self.window_nodes(start, size);
+        let key = (start, size, pattern);
+        let network = match self.memo_mut().network.get(&key).copied() {
+            Some(network) => network,
+            None => {
+                let network = match self {
+                    Backing::TwoD { mesh, .. } => {
+                        crate::score::network_2d(*mesh, &nodes, pattern, job_id)
+                    }
+                    Backing::ThreeD { mesh, .. } => {
+                        crate::score::network_3d(*mesh, &nodes, pattern, job_id)
+                    }
+                };
+                if WindowMemo::memoises(pattern) {
+                    self.memo_mut().insert(key, network);
+                }
+                network
+            }
+        };
+        match self {
+            Backing::TwoD { mesh, .. } => crate::score::placement_2d(*mesh, &nodes, network),
+            Backing::ThreeD { mesh, .. } => crate::score::placement_3d(*mesh, &nodes, network),
+        }
+    }
+
+    fn memo_mut(&mut self) -> &mut WindowMemo {
+        match self {
+            Backing::TwoD { memo, .. } | Backing::ThreeD { memo, .. } => memo,
+        }
+    }
+
+    /// The fitting candidate window with the lowest predicted contention
+    /// (ties break towards the earlier curve position), or `None` when no
+    /// contiguous window fits. Returns the winner's start rank and
+    /// breakdown and how many candidates were weighed (the calibration
+    /// plane's grant-time inputs).
+    fn best_window(
+        &mut self,
         job_id: u64,
         size: usize,
         pattern: CommPattern,
-    ) -> Option<(Vec<NodeId>, ScoreBreakdown, usize)> {
-        let candidates = self.scored_candidates(size);
-        let considered = candidates.len();
-        candidates
-            .into_iter()
-            .map(|nodes| {
-                let score = self.score_candidate(&nodes, pattern, job_id);
-                (nodes, score)
-            })
-            .min_by(|(_, a), (_, b)| a.total().total_cmp(&b.total()))
-            .map(|(nodes, score)| (nodes, score, considered))
-    }
-
-    /// The lowest predicted contention this machine could offer a
-    /// `pattern`-declared job of `size` right now, or `None` when no
-    /// contiguous window fits (the router then treats the member as
-    /// unscored). Read-only: the routing sample path.
-    fn predicted_contention(&self, job_id: u64, size: usize, pattern: CommPattern) -> Option<f64> {
-        self.scored_candidates(size)
-            .into_iter()
-            .map(|nodes| self.score_candidate(&nodes, pattern, job_id).total())
-            .min_by(f64::total_cmp)
+    ) -> Option<(usize, ScoreBreakdown, usize)> {
+        let starts = self.candidate_windows(size);
+        let (start, score) = starts
+            .iter()
+            .map(|&start| (start, self.score_window(start, size, pattern, job_id)))
+            .min_by(|(_, a), (_, b)| a.total().total_cmp(&b.total()))?;
+        Some((start, score, starts.len()))
     }
 
     /// The realized dispersal of an allocation, in the same unit as the
@@ -688,6 +734,7 @@ impl MachineEntry {
                 allocator: kind.build(mesh),
                 kind,
                 probe: CurveOrder::build(CurveKind::Hilbert, mesh),
+                memo: WindowMemo::default(),
             },
             scheduler,
         )
@@ -709,6 +756,7 @@ impl MachineEntry {
                 curve,
                 index,
                 strategy,
+                memo: WindowMemo::default(),
             },
             scheduler,
         )
@@ -987,15 +1035,18 @@ impl MachineEntry {
     /// lowest predicted contention this machine could offer it right now
     /// (`None` when no contiguous window fits, or no pattern was
     /// declared). The comm-aware routing policy keys on this field.
+    /// Takes `&mut self` only to fill the machine's window-score memo;
+    /// placement state and the generation are untouched.
     pub fn sample_for(
-        &self,
+        &mut self,
         job_id: u64,
         size: usize,
         pattern: Option<CommPattern>,
     ) -> crate::cluster::MachineSample {
         let mut sample = self.sample();
-        sample.contention =
-            pattern.and_then(|p| self.backing.predicted_contention(job_id, size, p));
+        sample.contention = pattern
+            .and_then(|p| self.backing.best_window(job_id, size, p))
+            .map(|(_, score, _)| score.total());
         sample
     }
 
@@ -2418,5 +2469,146 @@ mod tests {
         assert_eq!(snap.dims, "8x8x8");
         assert_eq!(snap.busy, 32);
         assert_eq!(snap.live_jobs, 1);
+    }
+
+    /// Asserts that every memoised network term equals the network term
+    /// of a fresh score of the window's nodes bit for bit, that no
+    /// `Random` term was stored, and that the memo respects its cap.
+    /// Returns the memo's size.
+    fn assert_memo_is_exact(m: &mut MachineEntry) -> usize {
+        let entries: Vec<((usize, usize, CommPattern), f64)> = m
+            .backing
+            .memo_mut()
+            .network
+            .iter()
+            .map(|(&k, &v)| (k, v))
+            .collect();
+        assert!(entries.len() <= WindowMemo::CAP);
+        for ((start, size, pattern), memoised) in &entries {
+            assert_ne!(*pattern, CommPattern::Random, "a Random score was memoised");
+            let nodes = m.backing.window_nodes(*start, *size);
+            // Any job id: a memoisable pattern's score ignores it.
+            let fresh = match &m.backing {
+                Backing::TwoD { mesh, .. } => {
+                    crate::score::predicted_contention_2d(*mesh, &nodes, *pattern, 7)
+                }
+                Backing::ThreeD { mesh, .. } => {
+                    crate::score::predicted_contention_3d(*mesh, &nodes, *pattern, 7)
+                }
+            };
+            assert_eq!(
+                memoised.to_bits(),
+                fresh.network.to_bits(),
+                "{pattern} window {start}+{size} memoised {memoised}, fresh {fresh:?}"
+            );
+        }
+        entries.len()
+    }
+
+    /// Random patterned alloc/release churn on `name`, every pattern
+    /// included. Before each alloc the routing sample is taken; when the
+    /// alloc is pattern-scored, the placement record the allocator files
+    /// at that same generation must carry exactly the sampled contention.
+    fn patterned_churn(r: &Registry, name: &str, steps: u64, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        r.calibration().set_enabled(true);
+        let patterns = CommPattern::all();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut live: Vec<u64> = Vec::new();
+        let mut scored = 0;
+        for job in 0..steps {
+            r.with_entry(name, |m| {
+                while !live.is_empty() && (m.num_free() < 24 || rng.gen_range(0..3) == 0) {
+                    let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                    m.release(victim)?;
+                }
+                let pattern = patterns[rng.gen_range(0..patterns.len())];
+                let size = rng.gen_range(1..=24);
+                let sample = m.sample_for(job, size, Some(pattern));
+                assert_eq!(sample.generation, m.generation());
+                let outcome =
+                    m.allocate_traced(job, size, false, None, Some(pattern), &RequestCtx::inert())?;
+                assert!(matches!(outcome, AllocOutcome::Granted(_)), "{outcome:?}");
+                live.push(job);
+                match (sample.contention, m.placements.get(&job)) {
+                    (Some(sampled), Some(record)) => {
+                        assert_eq!(sampled.to_bits(), record.predicted.total().to_bits());
+                        scored += 1;
+                    }
+                    (None, None) => {}
+                    (sampled, record) => {
+                        panic!("sample {sampled:?} disagrees with placement record {record:?}")
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert!(
+            scored > steps / 2,
+            "churn must mostly score ({scored} of {steps})"
+        );
+        let memoised = r
+            .with_entry(name, |m| {
+                m.check_invariants().map_err(ServiceError::InvalidRequest)?;
+                Ok(assert_memo_is_exact(m))
+            })
+            .unwrap();
+        assert!(memoised > 0, "deterministic patterns must be memoised");
+    }
+
+    #[test]
+    fn window_memo_is_exact_under_2d_churn() {
+        let r = registry_with_m0();
+        patterned_churn(&r, "m0", 400, 11);
+    }
+
+    #[test]
+    fn window_memo_is_exact_under_3d_churn() {
+        let r = Registry::default();
+        r.register_3d(
+            "cube",
+            Mesh3D::new(8, 8, 4),
+            Curve3Kind::Hilbert,
+            SelectionStrategy::BestFit,
+            SchedulerKind::Fcfs,
+        )
+        .unwrap();
+        patterned_churn(&r, "cube", 400, 12);
+    }
+
+    #[test]
+    fn random_jobs_never_enter_the_window_memo() {
+        let r = registry_with_m0();
+        r.with_entry("m0", |m| {
+            for job in 0..20 {
+                m.sample_for(job, 6, Some(CommPattern::Random));
+                m.allocate_traced(
+                    job,
+                    6,
+                    false,
+                    None,
+                    Some(CommPattern::Random),
+                    &RequestCtx::inert(),
+                )?;
+            }
+            assert!(m.backing.memo_mut().network.is_empty());
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn window_memo_starts_over_at_its_cap() {
+        let mut memo = WindowMemo::default();
+        for start in 0..WindowMemo::CAP {
+            memo.insert((start, 4, CommPattern::Ring), 1.0);
+        }
+        assert_eq!(memo.network.len(), WindowMemo::CAP);
+        let buckets = memo.network.capacity();
+        memo.insert((WindowMemo::CAP, 4, CommPattern::Ring), 1.0);
+        assert_eq!(memo.network.len(), 1);
+        assert_eq!(memo.network.capacity(), buckets, "a full memo never grows");
     }
 }

@@ -71,9 +71,19 @@ impl ScoreBreakdown {
     }
 }
 
-/// The locality and dispersal terms shared by both meshes.
-fn locality_and_dispersal(avg_pairwise: f64, components: usize, diameter: f64) -> (f64, f64) {
-    (avg_pairwise, components.saturating_sub(1) as f64 * diameter)
+/// Completes a breakdown from its `network` term with the placement's
+/// locality terms, shared by both meshes.
+fn with_locality(
+    network: f64,
+    avg_pairwise: f64,
+    components: usize,
+    diameter: f64,
+) -> ScoreBreakdown {
+    ScoreBreakdown {
+        network,
+        locality: avg_pairwise,
+        dispersal: components.saturating_sub(1) as f64 * diameter,
+    }
 }
 
 /// Predicted contention of placing a `pattern`-declared job on exactly
@@ -87,9 +97,15 @@ pub fn predicted_contention_2d(
     pattern: CommPattern,
     job_id: u64,
 ) -> ScoreBreakdown {
-    let p = nodes.len();
+    placement_2d(mesh, nodes, network_2d(mesh, nodes, pattern, job_id))
+}
+
+/// The network term of [`predicted_contention_2d`]: the mean simulated
+/// message latency of one pattern iteration. Depends on `job_id` only
+/// for the `Random` pattern.
+pub(crate) fn network_2d(mesh: Mesh2D, nodes: &[NodeId], pattern: CommPattern, job_id: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(splitmix64(job_id));
-    let pairs = pattern.iteration_messages(p, &mut rng);
+    let pairs = pattern.iteration_messages(nodes.len(), &mut rng);
     let stride = pairs.len().div_ceil(MAX_SCORED_MESSAGES).max(1);
     let messages: Vec<Message> = pairs
         .iter()
@@ -103,20 +119,20 @@ pub fn predicted_contention_2d(
             service_time: 1.0,
         })
         .collect();
-    let mean = MessageLevelNetwork::new(mesh)
+    MessageLevelNetwork::new(mesh)
         .simulate(&messages)
-        .mean_latency();
+        .mean_latency()
+}
+
+/// [`predicted_contention_2d`] from an already computed network term.
+pub(crate) fn placement_2d(mesh: Mesh2D, nodes: &[NodeId], network: f64) -> ScoreBreakdown {
     let diameter = (mesh.width() + mesh.height()) as f64;
-    let (locality, dispersal) = locality_and_dispersal(
+    with_locality(
+        network,
         mesh.avg_pairwise_distance(nodes),
         mesh.components(nodes),
         diameter,
-    );
-    ScoreBreakdown {
-        network: mean,
-        locality,
-        dispersal,
-    }
+    )
 }
 
 /// Predicted contention of placing a `pattern`-declared job on exactly
@@ -130,25 +146,32 @@ pub fn predicted_contention_3d(
     pattern: CommPattern,
     job_id: u64,
 ) -> ScoreBreakdown {
+    placement_3d(mesh, nodes, network_3d(mesh, nodes, pattern, job_id))
+}
+
+/// The network term of [`predicted_contention_3d`]: the
+/// traffic-matrix-weighted pairwise distance sum. Depends on `job_id`
+/// only for the `Random` pattern.
+pub(crate) fn network_3d(mesh: Mesh3D, nodes: &[NodeId], pattern: CommPattern, job_id: u64) -> f64 {
     let p = nodes.len();
     let mut rng = StdRng::seed_from_u64(splitmix64(job_id));
     let quota = pattern.messages_per_iteration(p).max(1);
-    let weighted: f64 = pattern
+    pattern
         .traffic(p, quota, &mut rng)
         .iter()
         .map(|e| e.weight * mesh.distance(nodes[e.src], nodes[e.dst]) as f64)
-        .sum();
+        .sum()
+}
+
+/// [`predicted_contention_3d`] from an already computed network term.
+pub(crate) fn placement_3d(mesh: Mesh3D, nodes: &[NodeId], network: f64) -> ScoreBreakdown {
     let diameter = (mesh.width() + mesh.height() + mesh.depth()) as f64;
-    let (locality, dispersal) = locality_and_dispersal(
+    with_locality(
+        network,
         mesh.avg_pairwise_distance(nodes),
         mesh.components(nodes),
         diameter,
-    );
-    ScoreBreakdown {
-        network: weighted,
-        locality,
-        dispersal,
-    }
+    )
 }
 
 #[cfg(test)]
